@@ -15,6 +15,9 @@ published hardware values for those parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+from repro.util.hashing import content_digest
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,12 @@ class GPUSpec:
     def cycle_time_s(self) -> float:
         """Duration of one core clock cycle in seconds."""
         return 1.0 / (self.gpu_clock_mhz * 1e6)
+
+    @cached_property
+    def content_key(self) -> bytes:
+        """The spec's :func:`~repro.util.hashing.content_digest`, computed
+        once: compile-memo keys use it instead of hashing every field."""
+        return content_digest(self)
 
     def warps_per_block(self, threads_per_block: int) -> int:
         """Warps needed for a block of ``threads_per_block`` threads

@@ -29,8 +29,8 @@ from repro.sim.timing import (
 
 def compile_config_key(config: dict) -> tuple:
     """The compile-time slice of a configuration (``UIF``, ``CFLAGS``,
-    ``PL``): variants sharing it share one compiled module.  Used for the
-    module cache here and for shard grouping in :mod:`repro.engine.work`."""
+    ``PL``): variants sharing it share one compiled module.  Picks the
+    compile options here and groups shards in :mod:`repro.engine.work`."""
     return (
         int(config.get("UIF", 1)),
         str(config.get("CFLAGS", "")),
@@ -90,27 +90,22 @@ class Measurer:
         self.params = params
         self.repetitions = repetitions
         self.trial_index = trial_index
-        self._modules: dict[tuple, CompiledModule] = {}
         self.evaluations = 0
 
     def module_for(self, config: dict) -> CompiledModule:
-        """The compiled module for a configuration (cached by the
-        compile-time slice of the configuration)."""
-        key = compile_config_key(config)
-        mod = self._modules.get(key)
-        if mod is None:
-            options = CompileOptions(
-                gpu=self.gpu,
-                unroll_factor=key[0],
-                fast_math="-use_fast_math" in key[1],
-                l1_pref_kb=key[2],
-            )
-            mod = compile_module(
-                self.benchmark.name, list(self.benchmark.specs), options
-            )
-            self._modules[key] = mod
-            obs.add("measure.compiles", kernel=self.benchmark.name)
-        return mod
+        """The compiled module for a configuration.  The compile-time
+        slice of the configuration picks the options; :func:`compile_module`
+        compiles each distinct module once per process."""
+        uif, cflags, pl = compile_config_key(config)
+        options = CompileOptions(
+            gpu=self.gpu,
+            unroll_factor=uif,
+            fast_math="-use_fast_math" in cflags,
+            l1_pref_kb=pl,
+        )
+        return compile_module(
+            self.benchmark.name, list(self.benchmark.specs), options
+        )
 
     def measure(self, config: dict, size: int) -> VariantMeasurement:
         """Measure one variant at one input size."""
@@ -146,7 +141,7 @@ class Measurer:
         """Measure a batch of ``(config, size)`` pairs, in input order.
 
         Modules are compiled once per distinct compile key regardless of
-        order (``module_for`` memoizes them for the measurer's lifetime).
+        order (``compile_module`` memoizes them for the process).
         This is the unit of work a sweep-engine worker runs on its
         shard, so a failure is wrapped in :class:`MeasurementError` to
         pin the exact point that caused it.

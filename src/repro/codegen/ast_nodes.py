@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 from repro.ptx.isa import DType
+from repro.util.hashing import content_digest
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -415,6 +417,12 @@ class KernelSpec:
         if not isinstance(self.smem_arrays, tuple):
             object.__setattr__(self, "smem_arrays", tuple(self.smem_arrays))
         self.validate()
+
+    @cached_property
+    def content_key(self) -> bytes:
+        """The spec's :func:`~repro.util.hashing.content_digest`, computed
+        once per spec object: the compile memo keys on it on every call."""
+        return content_digest(self)
 
     def scalar_params(self) -> list[ScalarParam]:
         return [p for p in self.params if isinstance(p, ScalarParam)]

@@ -25,11 +25,20 @@ degradation story the paper's static analyzer lives with.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.codegen.ast_nodes import evaluate_expr, evaluate_expr_numpy
 from repro.codegen.compiler import CompiledKernel
-from repro.codegen.regions import DynamicCounts, Region, evaluate_region_tree
+from repro.codegen.regions import (
+    DynamicCounts,
+    Region,
+    RegionKind,
+    evaluate_region_tree,
+)
+from repro.util.hashing import content_digest
+from repro.util.memo import BoundedMemo
 
 #: evaluate branch domains in chunks of this many points to bound memory
 _CHUNK = 1 << 20
@@ -44,20 +53,41 @@ def _domain_axes(loop_stack: list, env: dict) -> list[np.ndarray]:
     return axes
 
 
+_fraction_cache = BoundedMemo(8192)
+"""Memo: (condition + loop domain digest, env key) -> the fraction of the
+domain where the condition holds (or the 0.5 fallback).
+
+A branch fraction depends on nothing else: not on the arm (ELSE takes
+the complement), the kernel variant (UIF, CFLAGS, PL), the T=0 / T=1
+evaluation or thread vs warp level.  All of those share one NumPy
+evaluation of e.g. ex14FJ's N^3 boundary predicate.
+"""
+
+
 def exact_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
     """Exact execution fraction of one branch arm over its loop domain.
 
     For a THEN region this is the probability that the condition holds;
     for an ELSE region, its complement.  Conditions whose data is absent
     from ``env`` (data-dependent branches without the input arrays bound)
-    fall back to the static 0.5 assumption.
+    fall back to the static 0.5 assumption.  Either result is memoized
+    in :data:`_fraction_cache`.
     """
-    from repro.codegen.regions import RegionKind
-
-    try:
-        f = _cond_fraction(region, env, loop_stack)
-    except (KeyError, TypeError):
-        f = 0.5
+    if region.cond is None:
+        raise ValueError(f"region {region.id} has no branch condition")
+    key = (
+        content_digest((region.cond, [
+            (r.loop_var, r.lower, r.upper, r.step) for r in loop_stack
+        ])),
+        _env_key(env),
+    )
+    f = _fraction_cache.get(key)
+    if f is None:
+        try:
+            f = _cond_fraction(region, env, loop_stack)
+        except (KeyError, TypeError):
+            f = 0.5
+        _fraction_cache.put(key, f)
     if region.kind is RegionKind.ELSE:
         return 1.0 - f
     return f
@@ -65,8 +95,6 @@ def exact_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
 
 def _cond_fraction(region: Region, env: dict, loop_stack: list) -> float:
     """Exact probability that ``region.cond`` holds over its loop domain."""
-    if region.cond is None:
-        raise ValueError(f"region {region.id} has no branch condition")
     axes = _domain_axes(loop_stack, env)
     if not axes:
         # condition over parameters only: 0 or 1
@@ -115,24 +143,33 @@ def warp_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
     return min(1.0, 32.0 * f)
 
 
-_count_cache: dict = {}
-"""Memo: (id-keyed kernel, env, warp_level) -> (eval@T=0, eval@T=1).
+_count_cache = BoundedMemo(2048)
+"""Memo: (kernel content key, env key, warp_level) -> (eval@T=0, eval@T=1).
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
 evaluations determine every launch configuration.  This is what makes
-5,120-variant sweeps cheap: the expensive part (vectorized branch-domain
-evaluation for e.g. ex14FJ's N^3 boundary predicate) runs once per
-(kernel, size) instead of once per variant.
+5,120-variant sweeps cheap: the region tree is walked once per (kernel
+variant, size) instead of once per launch.  The kernel enters by
+:attr:`~repro.codegen.compiler.CompiledKernel.content_key`, computed once
+at compile time, so a lookup never hashes a kernel spec.  An entry holds
+about 35 objects; a reduced-space sweep of six kernels on all four GPUs
+makes 864 entries, and the cap keeps the process's garbage collector
+from walking many more.
 """
 
 
 def _env_key(env: dict) -> tuple:
+    """Content key of a parameter environment.  An input array enters as
+    its dtype, shape and a BLAKE2b digest of its bytes, so two inputs
+    share memo entries only when they are equal element for element."""
     parts = []
     for k in sorted(env):
         v = env[k]
         if isinstance(v, np.ndarray):
-            parts.append((k, v.dtype.str, v.shape, hash(v.tobytes())))
+            digest = hashlib.blake2b(np.ascontiguousarray(v).tobytes(),
+                                     digest_size=16).digest()
+            parts.append((k, v.dtype.str, v.shape, digest))
         else:
             parts.append((k, float(v)))
     return tuple(parts)
@@ -140,10 +177,14 @@ def _env_key(env: dict) -> tuple:
 
 def _combine(at0: DynamicCounts, at1: DynamicCounts,
              threads: int) -> DynamicCounts:
-    """Affine reconstruction: counts(T) = at0 + T * (at1 - at0)."""
-    cats = set(at0.by_category) | set(at1.by_category)
+    """Affine reconstruction: counts(T) = at0 + T * (at1 - at0).
+
+    Categories keep a fixed order (``at0``'s, then any new in ``at1``).
+    The timing model sums over them, and a set's order would follow the
+    per-process string-hash seed and move the sum by an ulp.
+    """
     by_cat = {}
-    for c in cats:
+    for c in {**at0.by_category, **at1.by_category}:
         a = at0.by_category.get(c, 0.0)
         b = at1.by_category.get(c, 0.0)
         by_cat[c] = a + threads * (b - a)
@@ -201,20 +242,13 @@ def exact_counts(
     represent thread-slots issued, i.e. ``counts / 32`` is the warp-issue
     count.
     """
-    frac = warp_branch_fraction if warp_level else exact_branch_fraction
-    key = (id(ck), _env_key(env), warp_level)
+    key = (ck.content_key, _env_key(env), warp_level)
     cached = _count_cache.get(key)
-    if cached is None or cached[0]() is not ck:
-        import weakref
-
-        at0 = evaluate_region_tree(
-            ck.root_region, env, total_threads=0, branch_fraction=frac
-        )
-        at1 = evaluate_region_tree(
-            ck.root_region, env, total_threads=1, branch_fraction=frac
-        )
-        cached = (weakref.ref(ck), at0, at1)
-        if len(_count_cache) > 4096:
-            _count_cache.clear()
-        _count_cache[key] = cached
-    return _combine(cached[1], cached[2], tc * bc)
+    if cached is None:
+        frac = warp_branch_fraction if warp_level else exact_branch_fraction
+        cached = _count_cache.put(key, tuple(
+            evaluate_region_tree(ck.root_region, env, total_threads=t,
+                                 branch_fraction=frac)
+            for t in (0, 1)
+        ))
+    return _combine(cached[0], cached[1], tc * bc)

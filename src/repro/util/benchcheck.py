@@ -20,9 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep")
-"""Benchmarks watched by default: the emulator fast path and the engine
-sweep/cache paths -- the two hot paths with asserted speedup bars."""
+DEFAULT_PATTERNS = ("emulator", "sweep", "fig5", "fig6")
+"""Benchmarks watched by default: the emulator fast path, the engine
+sweep/cache paths, and the closed-form pricing path (compile, counts,
+timing model) that fig5 and fig6 run end to end."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

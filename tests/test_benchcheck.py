@@ -37,6 +37,13 @@ class TestFindRegressions:
         cur = {"x emulator": 1.29}
         assert find_regressions(cur, {"x emulator": 1.0}) == []
 
+    def test_closed_form_benchmarks_watched_by_default(self):
+        names = ("benchmarks/test_bench_fig5_time_model.py::t",
+                 "benchmarks/test_bench_fig6_search.py::t")
+        regs = find_regressions({n: 2.0 for n in names},
+                                {n: 1.0 for n in names})
+        assert sorted(r[0] for r in regs) == list(names)
+
     def test_unwatched_names_ignored(self):
         cur = {"b/test_bench_tables.py::t": 99.0}
         base = {"b/test_bench_tables.py::t": 1.0}
