@@ -17,7 +17,7 @@ from repro import obs
 from repro.arch.specs import GPUSpec
 from repro.codegen.compiler import CompiledModule, CompileOptions, compile_module
 from repro.kernels.base import Benchmark
-from repro.sim.counting import exact_counts
+from repro.sim.counting import count_pair
 from repro.sim.occupancy_hw import hw_occupancy
 from repro.sim.timing import (
     DEFAULT_PARAMS,
@@ -125,8 +125,10 @@ class Measurer:
         occ = hw_occupancy(
             self.gpu, tc, mod.regs_per_thread, mod.static_smem_bytes
         )
+        threads = tc * bc
         reg_instr = sum(
-            exact_counts(ck, env, tc, bc).reg_ops for ck in mod
+            at0.reg_ops + threads * (at1.reg_ops - at0.reg_ops)
+            for at0, at1 in (count_pair(ck, env) for ck in mod)
         )
         return VariantMeasurement(
             config=dict(config),

@@ -34,7 +34,7 @@ import json
 import os
 import sqlite3
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.arch.specs import GPUSpec
@@ -119,8 +119,13 @@ def measurement_key(
     )
 
 
+_FIELDS = tuple(f.name for f in fields(VariantMeasurement))
+
+
 def _encode(m: VariantMeasurement) -> str:
-    return json.dumps(asdict(m))
+    """``json.dumps(asdict(m))``, byte for byte, without ``asdict``'s
+    deep copy of the config."""
+    return json.dumps({name: getattr(m, name) for name in _FIELDS})
 
 
 def _decode(payload: str) -> VariantMeasurement:

@@ -11,7 +11,6 @@ module's signature.
 
 from __future__ import annotations
 
-
 from repro.arch.specs import ALL_GPUS, GPUSpec, get_gpu
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.autotune.spec import default_tuning_spec
@@ -19,6 +18,7 @@ from repro.autotune.tuner import Autotuner
 from repro.autotune.results import TuningResults
 from repro.engine import CacheStore, StderrProgress, SweepEngine
 from repro.kernels import get_benchmark
+from repro.util.memo import BoundedMemo
 
 KERNEL_ORDER = ("atax", "bicg", "ex14fj", "matvec2d")
 """Paper presentation order of the Table IV kernels."""
@@ -68,7 +68,11 @@ def resolve_kernels(kernels=None) -> list[str]:
     return out
 
 
-_SWEEP_CACHE: dict = {}
+_SWEEP_CACHE = BoundedMemo(64)
+"""Memo: (kernel, GPU content key, full) -> the pooled sweep's
+:class:`TuningResults`.  The paper's four kernels on four GPUs make 16
+entries per space, so the cap never evicts in a default run; a GPU
+enters by content, so a modified spec never reads another's sweep."""
 
 _ENGINE_CONFIG = {"jobs": 1, "cache_dir": None, "progress": False}
 _SHARED_ENGINE: list = [None, False]  # [engine, built?]
@@ -127,14 +131,15 @@ def exhaustive_sweep(
     variant at every input size (Fig. 4 / Table V data).  Cached per
     process, since several experiments share it; the engine adds process
     parallelism and the persistent cross-run cache when configured."""
-    key = (kernel, gpu.name, full)
-    if key not in _SWEEP_CACHE:
+    key = (kernel, gpu.content_key, full)
+    results = _SWEEP_CACHE.get(key)
+    if results is None:
         bm = get_benchmark(kernel)
         tuner = Autotuner(bm, gpu, space=space_for(full))
-        _SWEEP_CACHE[key] = tuner.sweep(
+        results = _SWEEP_CACHE.put(key, tuner.sweep(
             sizes=sizes_for(kernel, full), engine=shared_engine()
-        )
-    return _SWEEP_CACHE[key]
+        ))
+    return results
 
 
 def clear_sweep_cache() -> None:

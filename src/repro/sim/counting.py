@@ -144,7 +144,9 @@ def warp_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
 
 
 _count_cache = BoundedMemo(2048)
-"""Memo: (kernel content key, env key, warp_level) -> (eval@T=0, eval@T=1).
+"""Memo: (kernel content key, env key, warp_level) -> (eval@T=0, eval@T=1),
+and the timing model's pricing plans built from those pairs
+(:func:`repro.sim.timing.pricing_plan`).
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
@@ -154,8 +156,8 @@ variant, size) instead of once per launch.  The kernel enters by
 :attr:`~repro.codegen.compiler.CompiledKernel.content_key`, computed once
 at compile time, so a lookup never hashes a kernel spec.  An entry holds
 about 35 objects; a reduced-space sweep of six kernels on all four GPUs
-makes 864 entries, and the cap keeps the process's garbage collector
-from walking many more.
+makes 864 count entries and 432 plans, and the cap keeps the process's
+garbage collector from walking many more.
 """
 
 
@@ -175,25 +177,28 @@ def _env_key(env: dict) -> tuple:
     return tuple(parts)
 
 
+def affine_terms(at0: dict, at1: dict):
+    """``(category, a, b - a)`` for each category of two evaluations, in
+    a fixed order: ``at0``'s categories, then any new in ``at1``.
+
+    The timing model sums over categories, and a set's order would
+    follow the per-process string-hash seed and move the sum by an ulp.
+    """
+    for c in {**at0, **at1}:
+        a = at0.get(c, 0.0)
+        yield c, a, at1.get(c, 0.0) - a
+
+
 def _combine(at0: DynamicCounts, at1: DynamicCounts,
              threads: int) -> DynamicCounts:
-    """Affine reconstruction: counts(T) = at0 + T * (at1 - at0).
-
-    Categories keep a fixed order (``at0``'s, then any new in ``at1``).
-    The timing model sums over them, and a set's order would follow the
-    per-process string-hash seed and move the sum by an ulp.
-    """
-    by_cat = {}
-    for c in {**at0.by_category, **at1.by_category}:
-        a = at0.by_category.get(c, 0.0)
-        b = at1.by_category.get(c, 0.0)
-        by_cat[c] = a + threads * (b - a)
+    """Affine reconstruction: counts(T) = at0 + T * (at1 - at0)."""
     traffic = tuple(
         (acc0, n0 + threads * (n1 - n0))
         for (acc0, n0), (_acc1, n1) in zip(at0.mem_traffic, at1.mem_traffic)
     )
     return DynamicCounts(
-        by_category=by_cat,
+        by_category={c: a + threads * d for c, a, d in
+                     affine_terms(at0.by_category, at1.by_category)},
         reg_ops=at0.reg_ops + threads * (at1.reg_ops - at0.reg_ops),
         mem_transactions=at0.mem_transactions
         + threads * (at1.mem_transactions - at0.mem_transactions),
@@ -242,13 +247,22 @@ def exact_counts(
     represent thread-slots issued, i.e. ``counts / 32`` is the warp-issue
     count.
     """
+    at0, at1 = count_pair(ck, env, warp_level)
+    return _combine(at0, at1, tc * bc)
+
+
+def count_pair(ck: CompiledKernel, env: dict,
+               warp_level: bool = False) -> tuple:
+    """The memoized ``(eval@T=0, eval@T=1)`` region-tree evaluations of
+    ``ck`` on ``env``, from which :func:`exact_counts` reconstructs the
+    counts of any launch (see :data:`_count_cache`)."""
     key = (ck.content_key, _env_key(env), warp_level)
-    cached = _count_cache.get(key)
-    if cached is None:
+    pair = _count_cache.get(key)
+    if pair is None:
         frac = warp_branch_fraction if warp_level else exact_branch_fraction
-        cached = _count_cache.put(key, tuple(
+        pair = _count_cache.put(key, tuple(
             evaluate_region_tree(ck.root_region, env, total_threads=t,
                                  branch_fraction=frac)
             for t in (0, 1)
         ))
-    return _combine(cached[0], cached[1], tc * bc)
+    return pair

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.arch.specs import GPUSpec
 from repro.arch.throughput import InstrCategory, PipeClass, throughput_for
@@ -44,7 +45,7 @@ from repro.codegen.ast_nodes import evaluate_expr
 from repro.codegen.compiler import CompiledKernel, CompiledModule
 from repro.codegen.regions import MemAccess
 from repro.ptx.isa import MemSpace
-from repro.sim.counting import exact_counts
+from repro.sim.counting import _count_cache, _env_key, affine_terms, count_pair
 from repro.sim.occupancy_hw import hw_resident_blocks
 from repro.util.rng import rng_for
 
@@ -148,61 +149,139 @@ _UNLAUNCHABLE = KernelTiming(
 )
 
 
+class PricingPlan(NamedTuple):
+    """Everything :meth:`TimingModel.kernel_time` needs of one kernel on
+    one parameter environment and pricing GPU that does not depend on
+    the launch.
+
+    Counts are affine in the launched thread count T, so each count
+    enters as ``(a, d)`` with ``count(T) = a + T * d`` -- the same
+    arithmetic as :func:`~repro.sim.counting.exact_counts`.  The plan
+    holds no :class:`ModelParams` value (they are not hashable, so they
+    cannot key a memo); the codes below pick them on every call.
+    """
+
+    extent: int | None
+    """The parallel extent M, or None when the kernel has none."""
+
+    warp: tuple
+    """Warp-level categories: ``(a, d, loop-only count, ipc)``."""
+
+    sfu: int | None
+    """Index of the SFU category in :attr:`warp`, if present."""
+
+    thread: tuple
+    """Thread-level non-memory categories: ``(a, d, chain code)``."""
+
+    accesses: tuple
+    """Memory accesses: ``(a, d, DRAM kind, segments, atomic code,
+    latency code)``."""
+
+
+# chain-weight codes of a thread-level category
+_CHAIN_FP, _CHAIN_SFU, _CHAIN_CTRL, _CHAIN_ALU = range(4)
+# how an access's DRAM bytes follow from its warp executions
+_NO_DRAM, _L2_HIT, _SEGMENTS, _L1_REUSE = range(4)
+# where an atomic access serializes
+_NOT_ATOMIC, _ATOMIC_CHIP, _ATOMIC_ISSUE = range(3)
+# per-execution dependent-chain latency of an access
+_LAT_SMEM, _LAT_UNIFORM, _LAT_RMW, _LAT_DRAM = range(4)
+
+
+def _chain_code(cat: InstrCategory) -> int:
+    if cat in (InstrCategory.FP32, InstrCategory.FP64):
+        return _CHAIN_FP
+    if cat is InstrCategory.LOG_SIN_COS:
+        return _CHAIN_SFU
+    if cat.pipe is PipeClass.CTRL:
+        return _CHAIN_CTRL
+    return _CHAIN_ALU
+
+
+def _access_codes(acc: MemAccess) -> tuple:
+    """``(DRAM kind, segments, atomic code, latency code)`` of one
+    static access under the cache model.
+
+    Global accesses: uniform ones, and same-address reloads of a
+    coalesced stream (hoistable RMW loads), hit L1/L2 and send only a
+    fraction of their bytes to DRAM.  Other coalesced accesses move
+    ``32 * elem / 32`` 32-byte segments per warp; strided ones put
+    each lane in its own segment, unless consecutive iterations walk
+    the line (``seq_stride == 1``), which then serves several of them
+    while the resident working set fits in L1 -- the segment count
+    stored is that ideal, and the launch's occupancy decides the rest.
+    """
+    if acc.is_atomic:
+        atomic = _ATOMIC_CHIP if acc.pattern == "uniform" else _ATOMIC_ISSUE
+    else:
+        atomic = _NOT_ATOMIC
+    if acc.space is not MemSpace.GLOBAL:
+        return _NO_DRAM, 0.0, atomic, _LAT_SMEM
+    elem = acc.dtype.nbytes
+    if acc.pattern == "uniform":
+        dram, segs = _L2_HIT, 0.0
+    elif acc.pattern == "coalesced":
+        if acc.seq_stride == 0 and not acc.is_store and not acc.is_atomic:
+            dram, segs = _L2_HIT, 0.0
+        else:
+            dram, segs = _SEGMENTS, max(1.0, 32.0 * elem / 32.0)
+    elif acc.seq_stride == 1:
+        dram, segs = _L1_REUSE, 32.0 * elem / 32.0
+    else:
+        dram, segs = _SEGMENTS, 32.0
+    if acc.pattern == "uniform":
+        lat = _LAT_UNIFORM  # constant-cache style hit
+    elif acc.seq_stride == 0 and not acc.is_store:
+        lat = _LAT_RMW  # same-address reload: serial
+    else:
+        lat = _LAT_DRAM
+    return dram, segs, atomic, lat
+
+
+def pricing_plan(ck: CompiledKernel, env: dict, gpu: GPUSpec) -> PricingPlan:
+    """The memoized :class:`PricingPlan` of ``ck`` on ``env`` priced on
+    ``gpu``.  Plans share the count memo
+    (:data:`repro.sim.counting._count_cache`) and its cap."""
+    key = ("plan", ck.content_key, _env_key(env), gpu.content_key)
+    plan = _count_cache.get(key)
+    if plan is None:
+        plan = _count_cache.put(key, _build_plan(ck, env, gpu))
+    return plan
+
+
+def _build_plan(ck: CompiledKernel, env: dict, gpu: GPUSpec) -> PricingPlan:
+    extent = None
+    if ck.parallel_extent is not None:
+        extent = max(0, int(evaluate_expr(ck.parallel_extent, env)))
+    # thread-level counts price work and latency; warp-level counts
+    # price issue slots, and their T=0 evaluation isolates the loop body
+    # from the per-thread preamble, which runs on *every* block
+    t0, t1 = count_pair(ck, env, warp_level=False)
+    w0, w1 = count_pair(ck, env, warp_level=True)
+    ipc = throughput_for(gpu).ipc
+    warp, sfu = [], None
+    for cat, a, d in affine_terms(w0.by_category, w1.by_category):
+        if cat is InstrCategory.LOG_SIN_COS:
+            sfu = len(warp)
+        warp.append((a, d, a + 0 * d, ipc(cat)))
+    thread = tuple(
+        (a, d, _chain_code(cat))
+        for cat, a, d in affine_terms(t0.by_category, t1.by_category)
+        if cat.pipe is not PipeClass.MEM  # charged per access
+    )
+    accesses = tuple(
+        (n0, n1 - n0, *_access_codes(acc))
+        for (acc, n0), (_acc, n1) in zip(t0.mem_traffic, t1.mem_traffic)
+    )
+    return PricingPlan(extent, tuple(warp), sfu, thread, accesses)
+
+
 class TimingModel:
     """Timing evaluation of compiled kernels on one GPU."""
 
     def __init__(self, gpu: GPUSpec, params: ModelParams = DEFAULT_PARAMS):
         self.gpu = gpu
         self.params = params
-        self.throughput = throughput_for(gpu)
-
-    # -- memory traffic under the cache model ------------------------------
-
-    def _l1_bytes(self, l1_pref_kb: int) -> float:
-        fixed = self.params.l1_kb_fixed.get(self.gpu.sm_version)
-        return (fixed if fixed is not None else l1_pref_kb) * 1024.0
-
-    def _access_dram_bytes(
-        self, acc: MemAccess, warp_execs: float, active_warps: float,
-        l1_pref_kb: int,
-    ) -> float:
-        """DRAM bytes one static access contributes over the launch."""
-        if acc.space is not MemSpace.GLOBAL:
-            return 0.0
-        elem = acc.dtype.nbytes
-        if acc.pattern == "uniform":
-            return warp_execs * 32.0 * self.params.uniform_l2_bytes_factor
-        if acc.pattern == "coalesced":
-            if acc.seq_stride == 0 and not acc.is_store and not acc.is_atomic:
-                # same address every iteration (hoistable RMW load): L1-hot
-                return warp_execs * 32.0 * self.params.uniform_l2_bytes_factor
-            segs = max(1.0, 32.0 * elem / 32.0)  # 32-byte DRAM segments
-            return warp_execs * segs * 32.0
-        # strided: each lane in its own segment...
-        worst_segs = 32.0
-        if acc.seq_stride == 1:
-            # ...but consecutive iterations reuse the line while the
-            # resident working set fits in L1
-            line = 128.0
-            ideal_segs = 32.0 * elem / 32.0
-            working = active_warps * 32.0 * line
-            fit = min(1.0, self._l1_bytes(l1_pref_kb) / max(working, 1.0))
-            segs = worst_segs - fit * (worst_segs - ideal_segs)
-        else:
-            segs = worst_segs
-        return warp_execs * segs * 32.0
-
-    def _access_chain_latency(self, acc: MemAccess) -> float:
-        """Per-execution dependent-chain latency of one memory access."""
-        if acc.space is not MemSpace.GLOBAL:
-            return 4.0  # shared memory
-        if acc.pattern == "uniform":
-            return self.params.rmw_latency * 0.5  # constant-cache style hit
-        if acc.seq_stride == 0 and not acc.is_store:
-            return self.params.rmw_latency  # same-address reload: serial
-        return self.gpu.dram_latency_cycles / self.params.mem_mlp
-
-    # -- the model ---------------------------------------------------------
 
     def kernel_time(
         self,
@@ -219,12 +298,12 @@ class TimingModel:
         )
         if resident == 0:
             return _UNLAUNCHABLE
+        m, warp, sfu, thread, accesses = pricing_plan(ck, env, gpu)
+        threads = tc * bc
 
         # parallel extent M and work spread
-        if ck.parallel_extent is not None:
-            m = max(0, int(evaluate_expr(ck.parallel_extent, env)))
-        else:
-            m = launch.total_threads
+        if m is None:
+            m = threads
         working_blocks = max(1, min(bc, -(-m // tc))) if m else 1
         warps_per_block = gpu.warps_per_block(tc)
         sms_used = min(gpu.multiprocessors, working_blocks)
@@ -237,32 +316,21 @@ class TimingModel:
             active_warps * gpu.warp_size / gpu.max_threads_per_mp,
         )
         work_frac = blocks_per_sm / working_blocks
-
-        # dynamic counts: thread-level (work) and warp-level (issue slots);
-        # the zero-thread evaluation isolates the loop body from the
-        # per-thread preamble, which runs on *every* block (idle blocks
-        # execute their preamble on otherwise-idle SMs, so it must not be
-        # charged to the busiest working SM)
-        tcounts = exact_counts(ck, env, tc, bc, warp_level=False)
-        wcounts = exact_counts(ck, env, tc, bc, warp_level=True)
-        wloop = exact_counts(ck, env, 1, 0, warp_level=True)
-
+        # the per-thread preamble runs on every block (idle blocks run
+        # theirs on otherwise-idle SMs), so the busiest working SM is
+        # charged only its share of it
         all_blocks_per_sm = -(-bc // min(gpu.multiprocessors, bc))
         root_frac = all_blocks_per_sm / bc
 
         # ---- issue cycles on the busiest SM, with block-switch churn and
         #      occupancy-dependent latency hiding
+        counts = [a + threads * d for a, d, _loop, _ipc in warp]
+        total_ops = max(1.0, sum(counts))
+        sfu_frac = (counts[sfu] if sfu is not None else 0.0) / total_ops
         issue = 0.0
-        total_ops = max(1.0, sum(wcounts.by_category.values()))
-        sfu_frac = wcounts.by_category.get(
-            InstrCategory.LOG_SIN_COS, 0.0
-        ) / total_ops
-        for cat, n in wcounts.by_category.items():
-            n_loop = wloop.by_category.get(cat, 0.0)
+        for (_a, _d, n_loop, ipc), n in zip(warp, counts):
             n_root = max(0.0, n - n_loop)
-            issue += (
-                n_loop * work_frac + n_root * root_frac
-            ) / self.throughput.ipc(cat)
+            issue += (n_loop * work_frac + n_root * root_frac) / ipc
         # "small block sizes will result in many active blocks running on
         # the SM in a time-shared manner, where unnecessary switching of
         # blocks may degrade performance" (paper Sec. III-B1): scheduler
@@ -273,39 +341,40 @@ class TimingModel:
         hiding = min(1.0, active_warps / w_need)
         issue *= churn / hiding
 
-        # ---- memory traffic, atomics
+        # ---- pipelined latency floor (per-thread dependent work)
+        active_threads = max(1, min(threads, max(m, 1)))
+        chain = (p.chain_fp, p.chain_sfu, p.chain_ctrl, p.chain_alu)
+        lat_per_thread = 0.0
+        for a, d, code in thread:
+            lat_per_thread += (a + threads * d) / active_threads * chain[code]
+
+        # ---- memory traffic, atomics and their chain latency; a
+        #      sequential-reuse line survives while the resident working
+        #      set fits in L1
+        fixed_kb = p.l1_kb_fixed.get(gpu.sm_version)
+        l1_bytes = (
+            fixed_kb if fixed_kb is not None else ck.options.l1_pref_kb
+        ) * 1024.0
+        fit = min(1.0, l1_bytes / max(active_warps * 32.0 * 128.0, 1.0))
+        mem_lat = (4.0, p.rmw_latency * 0.5, p.rmw_latency,
+                   gpu.dram_latency_cycles / p.mem_mlp)
         dram_bytes = 0.0
         atomic_chip = 0.0
-        for acc, execs in tcounts.mem_traffic:
+        for a, d, kind, segs, atomic, lat in accesses:
+            execs = a + threads * d
             warp_execs = execs / 32.0
-            dram_bytes += self._access_dram_bytes(
-                acc, warp_execs, active_warps, ck.options.l1_pref_kb
-            )
-            if acc.is_atomic:
-                if acc.pattern == "uniform":
-                    atomic_chip += execs * p.atomic_conflict_cycles
-                else:
-                    issue += warp_execs * work_frac * p.atomic_coalesced_cycles
-
-        # ---- pipelined latency floor (per-thread dependent work)
-        active_threads = max(1, min(launch.total_threads, max(m, 1)))
-        lat_per_thread = 0.0
-        for cat, n in tcounts.by_category.items():
-            per = n / active_threads
-            if cat.pipe is PipeClass.MEM:
-                continue  # charged per-access below
-            if cat in (InstrCategory.FP32, InstrCategory.FP64):
-                lat_per_thread += per * p.chain_fp
-            elif cat is InstrCategory.LOG_SIN_COS:
-                lat_per_thread += per * p.chain_sfu
-            elif cat.pipe is PipeClass.CTRL:
-                lat_per_thread += per * p.chain_ctrl
-            else:
-                lat_per_thread += per * p.chain_alu
-        for acc, execs in tcounts.mem_traffic:
-            lat_per_thread += (
-                execs / active_threads
-            ) * self._access_chain_latency(acc)
+            if kind == _L2_HIT:
+                dram_bytes += warp_execs * 32.0 * p.uniform_l2_bytes_factor
+            elif kind == _SEGMENTS:
+                dram_bytes += warp_execs * segs * 32.0
+            elif kind == _L1_REUSE:
+                dram_bytes += warp_execs * (
+                    32.0 - fit * (32.0 - segs)) * 32.0
+            if atomic == _ATOMIC_CHIP:
+                atomic_chip += execs * p.atomic_conflict_cycles
+            elif atomic == _ATOMIC_ISSUE:
+                issue += warp_execs * work_frac * p.atomic_coalesced_cycles
+            lat_per_thread += execs / active_threads * mem_lat[lat]
         latency_cycles = lat_per_thread * waves
 
         # ---- DRAM bandwidth bound (chip-wide, ramping with queue depth)

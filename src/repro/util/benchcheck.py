@@ -20,10 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep", "fig5", "fig6")
+DEFAULT_PATTERNS = ("emulator", "sweep", "fig5", "fig6", "pricing")
 """Benchmarks watched by default: the emulator fast path, the engine
-sweep/cache paths, and the closed-form pricing path (compile, counts,
-timing model) that fig5 and fig6 run end to end."""
+sweep/cache paths, the closed-form pipeline (compile, counts, timing
+model) that fig5 and fig6 run end to end, and the per-point pricing
+cost on its own."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

@@ -39,7 +39,8 @@ class TestFindRegressions:
 
     def test_closed_form_benchmarks_watched_by_default(self):
         names = ("benchmarks/test_bench_fig5_time_model.py::t",
-                 "benchmarks/test_bench_fig6_search.py::t")
+                 "benchmarks/test_bench_fig6_search.py::t",
+                 "benchmarks/test_bench_pricing.py::t")
         regs = find_regressions({n: 2.0 for n in names},
                                 {n: 1.0 for n in names})
         assert sorted(r[0] for r in regs) == list(names)

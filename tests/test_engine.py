@@ -90,6 +90,19 @@ class TestCacheKeys:
         back = _decode(_encode(m))
         assert back == m and math.isinf(back.seconds)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), 1.25e-5, 0.0])
+    def test_encoding_matches_asdict_json(self, seconds):
+        import json
+        from dataclasses import asdict
+
+        m = VariantMeasurement(
+            config={"TC": 96, "BC": 144, "UIF": 3, "PL": 16,
+                    "CFLAGS": "-use_fast_math"},
+            size=256, seconds=seconds, occupancy=0.625,
+            regs_per_thread=21, reg_instructions=123456.75,
+        )
+        assert _encode(m) == json.dumps(asdict(m))
+
 
 class TestCacheStore:
     def test_miss_then_hit(self, tmp_path):
@@ -356,6 +369,31 @@ class TestFig6Batching:
 
 # ---------------------------------------------------------------------------
 # the runner CLI
+
+
+class TestSweepMemo:
+    def test_gpus_sharing_a_name_do_not_share_a_sweep(self, monkeypatch):
+        import dataclasses
+
+        swept = []
+        monkeypatch.setattr(common.Autotuner, "sweep",
+                            lambda self, sizes, engine=None:
+                            swept.append(self.gpu) or object())
+        faster = dataclasses.replace(K20, gpu_clock_mhz=K20.gpu_clock_mhz + 100)
+        assert faster.name == K20.name
+        a = common.exhaustive_sweep("atax", K20)
+        b = common.exhaustive_sweep("atax", faster)
+        assert a is not b and swept == [K20, faster]
+        assert common.exhaustive_sweep("atax", K20) is a
+        assert len(swept) == 2
+
+    def test_memo_stays_within_cap(self, monkeypatch):
+        monkeypatch.setattr(common._SWEEP_CACHE, "cap", 3)
+        monkeypatch.setattr(common.Autotuner, "sweep",
+                            lambda self, sizes, engine=None: object())
+        for kernel in ("atax", "bicg", "mvt", "gemm", "gesummv"):
+            common.exhaustive_sweep(kernel, K20)
+            assert len(common._SWEEP_CACHE) <= 3
 
 
 class TestRunnerCLI:
